@@ -1,15 +1,15 @@
-//! Criterion micro-benchmarks of the persistent work-stealing runtime vs the
-//! per-call scoped fallback — the numbers recorded in `BENCH_engine.json`.
+//! Criterion micro-benchmarks of the persistent work-stealing runtime
+//! against the inline single-worker engine — the numbers recorded in
+//! `BENCH_engine.json`.
 //!
 //! Two regimes bracket the design space:
 //!
 //! * **many-small-layers** — 256 layers of 64Ki elements, the layer-wise /
 //!   per-layer-bucket regime where every `compress` call is short and the
-//!   scoped runtime's per-call thread spawn+join storm dominates. This is the
-//!   workload the pool exists for.
+//!   per-call dispatch cost is a visible share of it. This is the workload
+//!   the pool's spawn-once design exists for.
 //! * **single-large** — one 16Mi-element gradient, the ImageNet regime where
-//!   a call is long enough to amortise any dispatch cost and the two runtimes
-//!   should converge.
+//!   a call is long enough to amortise any dispatch cost.
 //!
 //! The pool's lifecycle counters (spawns, steals, parks, per-socket
 //! placement) are printed after the sweep; on a multi-socket host the
@@ -52,14 +52,20 @@ fn large_gradient() -> Vec<f32> {
     generator.gradient(0).into_vec()
 }
 
+/// Worker budgets swept on the pool; 1 resolves to the inline runtime.
 fn configurations() -> Vec<(RuntimeKind, usize)> {
     vec![
-        (RuntimeKind::Scoped, 1),
-        (RuntimeKind::Scoped, 2),
-        (RuntimeKind::Scoped, 4),
+        (RuntimeKind::Pool, 1),
         (RuntimeKind::Pool, 2),
         (RuntimeKind::Pool, 4),
     ]
+}
+
+/// The row label of a configuration: the name of the runtime it resolves
+/// to (`inline` or `pool`) and its width.
+fn label(threads: usize) -> String {
+    let runtime = CompressionEngine::new(threads).shared_runtime().name();
+    format!("runtime={runtime},threads={threads}")
 }
 
 fn bench_many_small_layers(c: &mut Criterion) {
@@ -72,20 +78,15 @@ fn bench_many_small_layers(c: &mut Criterion) {
     group.throughput(Throughput::Elements((LAYERS * LAYER_DIM) as u64));
     group.sample_size(3);
 
-    for (runtime, threads) in configurations() {
+    for (_, threads) in configurations() {
         // A 64Ki layer is exactly one default chunk, which would dispatch
         // inline; 16Ki chunks make every layer span 4 chunks so each of the
         // ~5 chunked passes per compress call really exercises the runtime
         // (the chunk size is identical across configurations, so outputs —
         // and the work done — stay bit-identical).
-        let engine = CompressionEngine::new(threads)
-            .with_runtime(runtime)
-            .with_chunk_size(1 << 14);
+        let engine = CompressionEngine::new(threads).with_chunk_size(1 << 14);
         group.bench_with_input(
-            BenchmarkId::new(
-                "sidco-e",
-                format!("runtime={},threads={threads}", runtime.as_str()),
-            ),
+            BenchmarkId::new("sidco-e", label(threads)),
             &engine,
             |b, &engine| {
                 let mut compressor =
@@ -111,13 +112,10 @@ fn bench_single_large(c: &mut Criterion) {
     group.throughput(Throughput::Elements(LARGE_DIM as u64));
     group.sample_size(3);
 
-    for (runtime, threads) in configurations() {
-        let engine = CompressionEngine::new(threads).with_runtime(runtime);
+    for (_, threads) in configurations() {
+        let engine = CompressionEngine::new(threads);
         group.bench_with_input(
-            BenchmarkId::new(
-                "sidco-e",
-                format!("runtime={},threads={threads}", runtime.as_str()),
-            ),
+            BenchmarkId::new("sidco-e", label(threads)),
             &engine,
             |b, &engine| {
                 let mut compressor =
@@ -129,8 +127,8 @@ fn bench_single_large(c: &mut Criterion) {
     }
     group.finish();
 
-    // Parallel delta-varint stitching on the selected survivors (the ROADMAP
-    // item the encoder satellite closed): serial vs sharded.
+    // Parallel delta-varint stitching on the selected survivors: serial vs
+    // the engine's entry point, which shards only past its crossover.
     let engine = CompressionEngine::new(4);
     let threshold = engine.abs_moments(&grad).mean * 2.0;
     let sparse = engine.select_above(&grad, threshold);
@@ -141,17 +139,11 @@ fn bench_single_large(c: &mut Criterion) {
         b.iter(|| sidco_tensor::encoding::delta_varint_encode(std::hint::black_box(&sparse)))
     });
     for threads in [2usize, 4] {
+        let engine = CompressionEngine::new(threads);
         group.bench_with_input(
             BenchmarkId::new("sharded", format!("threads={threads}")),
-            &threads,
-            |b, &threads| {
-                b.iter(|| {
-                    sidco_tensor::encoding::delta_varint_encode_parallel(
-                        std::hint::black_box(&sparse),
-                        threads,
-                    )
-                })
-            },
+            &engine,
+            |b, engine| b.iter(|| engine.encode_varint(std::hint::black_box(&sparse))),
         );
     }
     group.finish();
@@ -177,7 +169,7 @@ fn bench_trainer_overlap(c: &mut Criterion) {
     // recording overhead of an active sidco-trace session, and the untraced
     // rows double as the disabled-mode parity check against the pre-trace
     // baseline (tracing off must cost one relaxed atomic load per probe).
-    let traced_rows = [(RuntimeKind::Scoped, 1usize), (RuntimeKind::Pool, 4)];
+    let traced_rows = [(RuntimeKind::Pool, 1usize), (RuntimeKind::Pool, 4)];
     let rows = configurations()
         .into_iter()
         .map(|(runtime, threads)| (runtime, threads, false))
@@ -185,10 +177,7 @@ fn bench_trainer_overlap(c: &mut Criterion) {
     for (runtime, threads, trace) in rows {
         let suffix = if trace { ",traced" } else { "" };
         group.bench_with_input(
-            BenchmarkId::new(
-                "topk",
-                format!("runtime={},threads={threads}{suffix}", runtime.as_str()),
-            ),
+            BenchmarkId::new("topk", format!("{}{suffix}", label(threads))),
             &(runtime, threads),
             |b, &(runtime, threads)| {
                 let config = TrainerConfig {
@@ -217,7 +206,7 @@ fn bench_trainer_overlap(c: &mut Criterion) {
 
 fn report_pool_stats(_c: &mut Criterion) {
     for threads in [2usize, 4] {
-        let engine = CompressionEngine::new(threads).with_runtime(RuntimeKind::Pool);
+        let engine = CompressionEngine::new(threads);
         if let Some(stats) = engine.pool_stats() {
             assert_eq!(
                 stats.parks - stats.unparks,

@@ -180,35 +180,26 @@ impl DeviceProfile {
 
     /// Modelled per-call orchestration cost of the engine's runtime, charged
     /// on top of [`compression_time_with_workers`](Self::compression_time_with_workers)
-    /// (which models pure compute). A scoped runtime spawns and joins
-    /// `workers` OS threads on **every** `compress` call; a persistent pool
-    /// only unparks its (already spawned) workers. The constants are
-    /// calibrated to Linux-host magnitudes — tens of microseconds per thread
-    /// spawn+join, a couple per condvar wake — so in the many-small-layer
-    /// regime (where per-layer compute is itself tens of microseconds) the
-    /// scoped dispatch dominates and the pool's advantage is structural, not
-    /// marginal. Single-threaded engines dispatch inline and pay nothing.
-    /// The modelled contrast is measurable end-to-end: the trainer's
+    /// (which models pure compute). The persistent work-stealing pool spawns
+    /// its workers once, so a call only unparks them: a couple of
+    /// microseconds per condvar wake, a Linux-host magnitude. Single-threaded
+    /// engines dispatch inline and pay nothing. The trainer's
     /// [`DispatchReport`](crate::DispatchReport) records the executor that
     /// actually ran each iteration's bucket jobs, and the `trainer_overlap`
-    /// rows in `BENCH_engine.json` show the scoped spawn storm vs pool
-    /// parity this function charges for.
-    pub fn dispatch_cost(&self, workers: usize, persistent: bool) -> f64 {
+    /// rows in `BENCH_engine.json` measure inline against pool dispatch.
+    pub fn dispatch_cost(&self, workers: usize) -> f64 {
         if workers <= 1 {
             return 0.0;
         }
-        // Spawn+join of one OS thread vs one condvar unpark.
-        const SPAWN_JOIN: f64 = 30e-6;
+        // One condvar unpark per worker.
         const UNPARK: f64 = 1.5e-6;
-        let per_worker = if persistent { UNPARK } else { SPAWN_JOIN };
-        per_worker * workers as f64
+        UNPARK * workers as f64
     }
 
     /// [`compression_time_with_workers`](Self::compression_time_with_workers)
-    /// plus the runtime's [`dispatch_cost`](Self::dispatch_cost):
-    /// `persistent = true` models the work-stealing pool (`SIDCO_RUNTIME=pool`),
-    /// `false` the per-call scoped executor. [`CompressorKind::None`] still
-    /// costs nothing (no compression means no dispatch).
+    /// plus the pool's [`dispatch_cost`](Self::dispatch_cost).
+    /// [`CompressorKind::None`] still costs nothing (no compression means no
+    /// dispatch).
     ///
     /// # Panics
     ///
@@ -220,14 +211,13 @@ impl DeviceProfile {
         delta: f64,
         stages: usize,
         workers: usize,
-        persistent: bool,
     ) -> f64 {
         if kind == CompressorKind::None {
             assert!(workers >= 1, "the engine needs at least one worker");
             return 0.0;
         }
         self.compression_time_with_workers(kind, dim, delta, stages, workers)
-            + self.dispatch_cost(workers, persistent)
+            + self.dispatch_cost(workers)
     }
 
     /// Modelled multi-thread speed-up of `kind` at `workers` engine threads
@@ -549,58 +539,46 @@ mod tests {
     }
 
     #[test]
-    fn pool_dispatch_undercuts_scoped_dispatch() {
+    fn dispatch_is_free_inline_and_monotone_in_workers() {
         let cpu = DeviceProfile::cpu();
-        // One worker dispatches inline: no orchestration either way.
-        assert_eq!(cpu.dispatch_cost(1, true), 0.0);
-        assert_eq!(cpu.dispatch_cost(1, false), 0.0);
+        // One worker dispatches inline: no orchestration.
+        assert_eq!(cpu.dispatch_cost(1), 0.0);
+        let mut previous = 0.0;
         for workers in [2usize, 4, 8] {
-            let pool = cpu.dispatch_cost(workers, true);
-            let scoped = cpu.dispatch_cost(workers, false);
-            assert!(pool > 0.0 && scoped > pool, "workers={workers}");
+            let cost = cpu.dispatch_cost(workers);
+            assert!(cost > previous, "workers={workers}");
+            previous = cost;
         }
         // With runtime dispatch folded in, `workers = 1` reproduces the pure
-        // compute model and the pool never loses to scoped threads.
+        // compute model, and more workers add dispatch on top of compute.
         let kind = CompressorKind::Sidco(SidKind::Exponential);
         assert_eq!(
-            cpu.compression_time_with_runtime(kind, DIM, 0.001, 2, 1, false),
+            cpu.compression_time_with_runtime(kind, DIM, 0.001, 2, 1),
             cpu.compression_time(kind, DIM, 0.001, 2)
         );
         for workers in [2usize, 4] {
-            let pool = cpu.compression_time_with_runtime(kind, DIM, 0.001, 2, workers, true);
-            let scoped = cpu.compression_time_with_runtime(kind, DIM, 0.001, 2, workers, false);
-            assert!(pool < scoped);
+            assert_eq!(
+                cpu.compression_time_with_runtime(kind, DIM, 0.001, 2, workers),
+                cpu.compression_time_with_workers(kind, DIM, 0.001, 2, workers)
+                    + cpu.dispatch_cost(workers)
+            );
         }
         assert_eq!(
-            cpu.compression_time_with_runtime(CompressorKind::None, DIM, 1.0, 1, 8, false),
+            cpu.compression_time_with_runtime(CompressorKind::None, DIM, 1.0, 1, 8),
             0.0
         );
     }
 
     #[test]
-    fn scoped_dispatch_dominates_the_many_small_layer_regime() {
-        // 64Ki-element layers at 4 workers: the per-layer compute is tens of
-        // microseconds, comparable to four thread spawns — so over 256 layers
-        // the scoped runtime pays a large constant the pool does not. This is
-        // the regime (layer-wise compression, per-layer buckets) the pool was
-        // built for; the `runtime_pool` bench sweeps it on real hardware.
+    fn dispatch_is_negligible_on_a_large_call() {
+        // On one huge tensor the pool's dispatch is lost in the noise: a few
+        // percent of the compute time at most, at every tested width.
         let cpu = DeviceProfile::cpu();
         let kind = CompressorKind::Sidco(SidKind::Exponential);
-        let layers = 256;
-        let layer_dim = 1 << 16;
-        let per_layer_scoped =
-            cpu.compression_time_with_runtime(kind, layer_dim, 0.01, 2, 4, false);
-        let per_layer_pool = cpu.compression_time_with_runtime(kind, layer_dim, 0.01, 2, 4, true);
-        let saved = (per_layer_scoped - per_layer_pool) * layers as f64;
-        // 256 layers × 4 spawns × ~30µs ≈ 30ms of pure dispatch recovered.
-        assert!(
-            saved > 20e-3,
-            "pool should recover >20ms over {layers} small layers, got {saved:.6}s"
-        );
-        // On one huge tensor the dispatch difference is lost in the noise: a
-        // few percent of the compute time at most.
-        let big = cpu.compression_time_with_workers(kind, 1 << 24, 0.01, 2, 4);
-        assert!(cpu.dispatch_cost(4, false) < 0.05 * big);
+        for workers in [2usize, 4, 8] {
+            let big = cpu.compression_time_with_workers(kind, 1 << 24, 0.01, 2, workers);
+            assert!(cpu.dispatch_cost(workers) < 0.05 * big, "workers={workers}");
+        }
     }
 
     #[test]

@@ -180,9 +180,9 @@ impl OverlapAccounting {
 /// against real concurrent execution.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DispatchReport {
-    /// Executor the per-bucket jobs ran on (`"scoped"` or `"pool"`).
+    /// Executor the per-bucket jobs ran on (`"inline"` or `"pool"`).
     pub runtime: &'static str,
-    /// Worker threads the executor exposes (1 for the sequential fallback).
+    /// Worker threads the executor exposes (1 for the inline runtime).
     pub parallelism: usize,
     /// Number of fan-out rounds dispatched (one per training iteration).
     pub jobs: u64,
@@ -198,7 +198,7 @@ pub struct DispatchReport {
     pub completion_order: Vec<usize>,
     /// Pool counters accumulated over the run (dispatches, steals, parks),
     /// diffed against the pre-run snapshot when the executor is the shared
-    /// process-wide pool. `None` on the scoped/sequential runtimes.
+    /// process-wide pool. `None` on the inline runtime.
     pub pool: Option<PoolStats>,
 }
 

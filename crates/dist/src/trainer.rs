@@ -331,11 +331,14 @@ impl ModelTrainer {
         }
     }
 
-    /// Dispatches the per-(worker, bucket) compression jobs on the given
-    /// runtime instead of the engine's process-wide default. The executor
-    /// changes *only* where the jobs run — convergence is bit-identical
-    /// across runtimes and thread counts, because every compressor cell sees
-    /// the same call sequence and the merge is serial in a fixed order.
+    /// Dispatches the per-(worker, bucket) compression jobs on the shared
+    /// runtime of the given kind and width ([`sidco_runtime::handle`]: inline
+    /// at 1 thread, the work-stealing pool above) instead of the engine's
+    /// process-wide default. The executor changes *only* where the jobs run —
+    /// convergence is bit-identical across thread counts, because every
+    /// compressor cell sees the same call sequence and the merge is serial in
+    /// a fixed order. `kind` has a single value today; the signature is kept
+    /// for the benchmark harness under `perfbench/`, which names it.
     #[must_use]
     pub fn with_runtime(mut self, kind: RuntimeKind, threads: usize) -> Self {
         self.executor = sidco_runtime::handle(kind, threads);
@@ -1317,7 +1320,7 @@ mod tests {
             .with_runtime(kind, threads)
             .run(0.1)
         };
-        let serial = run(RuntimeKind::Scoped, 1);
+        let serial = run(RuntimeKind::Pool, 1);
         let pooled = run(RuntimeKind::Pool, 3);
         // Real concurrent execution, identical numerics.
         let losses = |r: &TrainingReport| r.samples().iter().map(|s| s.loss).collect::<Vec<_>>();
@@ -1345,8 +1348,9 @@ mod tests {
         );
         assert!(pool.chunks_executed >= 30 * 12);
 
+        // A single-worker budget runs the jobs inline and keeps no counters.
         let dispatch = serial.dispatch().expect("dispatch report");
-        assert_eq!(dispatch.runtime, "scoped");
+        assert_eq!(dispatch.runtime, "inline");
         assert_eq!(dispatch.parallelism, 1);
         assert!(dispatch.pool.is_none());
     }

@@ -1,22 +1,21 @@
 //! # sidco-runtime — the execution substrate under the compression engine
 //!
 //! SIDCo's estimator math made threshold selection cheap; what is left of the
-//! compression budget is *runtime* overhead — and the engine used to pay it
-//! on every call by spawning scoped threads and sharding
-//! placement-obliviously. This crate factors that substrate out:
+//! compression budget is *runtime* overhead: dispatching chunk work onto
+//! threads. This crate holds the one parallel runtime the engine uses:
 //!
 //! * [`Runtime`] — the executor abstraction: run `n` index-addressed chunk
 //!   tasks, each exactly once. Callers own the chunk decomposition and the
 //!   output slots, so *any* correct `Runtime` yields bit-identical results.
-//! * [`ScopedFallback`] — the old behaviour: spawn scoped threads per call,
-//!   contiguous chunk blocks per worker. Zero state, zero reuse.
 //! * [`WorkStealing`] — a persistent pool: lazy one-time spawn, per-worker
 //!   Chase–Lev deques, per-socket injectors placed by a [`NumaTopology`]
 //!   model, parked idle workers, and observable [`PoolStats`].
+//! * [`Inline`] — the single-worker runtime: every index runs on the calling
+//!   thread. It is what a worker budget of 1 resolves to, and the
+//!   differential-testing baseline the pool is checked against.
 //!
-//! The engine (and anything else) picks between them with
-//! [`RuntimeKind::from_env`] (`SIDCO_RUNTIME=scoped|pool`) and obtains
-//! process-wide shared instances from [`handle`].
+//! Callers obtain process-wide shared instances from [`handle`]: one pool per
+//! worker count, and [`Inline`] for a budget of 1.
 //!
 //! # Determinism contract
 //!
@@ -24,8 +23,8 @@
 //! thread, in some order, and returns only after all of them ran. It never
 //! chooses chunk boundaries and never merges results — callers do both as a
 //! pure function of input length. Consequently outputs are **bit-identical
-//! across runtimes, worker counts, and steal orders**; the only observable
-//! differences are wall-clock time and [`PoolStats`].
+//! across worker counts and steal orders**; the only observable differences
+//! are wall-clock time and [`PoolStats`].
 
 #![warn(missing_docs)]
 
@@ -44,11 +43,6 @@ pub use stats::PoolStats;
 use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};
 
-/// Environment variable selecting the engine's runtime
-/// ([`RuntimeKind::from_env`]): `scoped` for per-call scoped threads, `pool`
-/// for the persistent work-stealing pool (the default).
-pub const RUNTIME_ENV_VAR: &str = "SIDCO_RUNTIME";
-
 /// An executor for index-addressed chunk tasks.
 ///
 /// Implementations must run `body(i)` exactly once for every `i in 0..tasks`
@@ -58,7 +52,7 @@ pub const RUNTIME_ENV_VAR: &str = "SIDCO_RUNTIME";
 /// ranges and write results into per-index slots, which is what makes every
 /// implementation produce identical bits.
 pub trait Runtime: std::fmt::Debug + Send + Sync {
-    /// A short stable identifier (`"scoped"`, `"pool"`).
+    /// A short stable identifier (`"inline"`, `"pool"`).
     fn name(&self) -> &'static str;
 
     /// The configured worker budget (1 means sequential).
@@ -67,8 +61,7 @@ pub trait Runtime: std::fmt::Debug + Send + Sync {
     /// Runs `body(0..tasks)`, each index exactly once, blocking to completion.
     fn run_indexed(&self, tasks: usize, body: &(dyn Fn(usize) + Sync));
 
-    /// Pool counters, for runtimes that keep them (`None` for stateless
-    /// runtimes such as [`ScopedFallback`]).
+    /// Pool counters, for runtimes that keep them (`None` for [`Inline`]).
     fn stats(&self) -> Option<PoolStats> {
         None
     }
@@ -82,9 +75,9 @@ pub trait Runtime: std::fmt::Debug + Send + Sync {
 }
 
 /// Runs `body(0..tasks)` inline, continuing past panics so every index
-/// executes exactly once; the first panic is re-raised after the loop. Both
-/// runtimes use this for their sequential fast paths so the [`Runtime`]
-/// contract holds there too.
+/// executes exactly once; the first panic is re-raised after the loop.
+/// [`Inline`] and the pool's single-task fast path both use it, so the
+/// [`Runtime`] contract holds there too.
 pub(crate) fn run_sequential_to_completion(tasks: usize, body: &(dyn Fn(usize) + Sync)) {
     let mut first_panic = None;
     for index in 0..tasks {
@@ -98,86 +91,33 @@ pub(crate) fn run_sequential_to_completion(tasks: usize, body: &(dyn Fn(usize) +
     }
 }
 
-/// The pre-pool behaviour, kept as the fallback and the differential-testing
-/// baseline: every call spawns up to `threads` scoped OS threads, each
-/// processing a contiguous block of chunk indices, and joins them before
-/// returning. No state persists between calls.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct ScopedFallback {
-    threads: usize,
-}
+/// The single-worker runtime: runs every index on the calling thread, in
+/// index order. [`handle`]`(_, 1)` returns it, and it is the baseline the
+/// pool's outputs are compared with bit for bit.
+#[derive(Debug, Clone, Copy)]
+pub struct Inline;
 
-impl ScopedFallback {
-    /// A scoped runtime spawning up to `threads` workers per call.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads` is zero.
-    pub fn new(threads: usize) -> Self {
-        assert!(threads >= 1, "a runtime needs at least one thread");
-        Self { threads }
-    }
-}
-
-impl Runtime for ScopedFallback {
+impl Runtime for Inline {
     fn name(&self) -> &'static str {
-        "scoped"
+        "inline"
     }
 
     fn parallelism(&self) -> usize {
-        self.threads
+        1
     }
 
     fn run_indexed(&self, tasks: usize, body: &(dyn Fn(usize) + Sync)) {
-        if tasks == 0 {
-            return;
-        }
-        if self.threads <= 1 || tasks == 1 {
-            run_sequential_to_completion(tasks, body);
-            return;
-        }
-        let workers = self.threads.min(tasks);
-        let per_worker = tasks.div_ceil(workers);
-        // Per-index catch_unwind upholds the trait contract a plain panic
-        // would break: every index still runs exactly once even when an
-        // earlier index of the same worker's block panicked, and the first
-        // panic is re-raised only after every body completed.
-        let first_panic: Mutex<Option<Box<dyn std::any::Any + Send + 'static>>> = Mutex::new(None);
-        crossbeam::thread::scope(|s| {
-            for w in 0..workers {
-                let first = w * per_worker;
-                let last = ((w + 1) * per_worker).min(tasks);
-                let first_panic = &first_panic;
-                s.spawn(move |_| {
-                    for index in first..last {
-                        let outcome =
-                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(index)));
-                        if let Err(payload) = outcome {
-                            let mut slot = first_panic.lock().expect("panic slot poisoned");
-                            if slot.is_none() {
-                                *slot = Some(payload);
-                            }
-                        }
-                    }
-                });
-            }
-        })
-        .expect("scoped runtime worker died outside a task body");
-        let payload = first_panic.lock().expect("panic slot poisoned").take();
-        if let Some(payload) = payload {
-            std::panic::resume_unwind(payload);
-        }
+        run_sequential_to_completion(tasks, body);
     }
 }
 
-/// Which [`Runtime`] implementation the engine dispatches to. `Copy` so
-/// configuration structs (the engine is two words, copied by value
-/// everywhere) can carry it; the actual executors live in the process-wide
-/// registry behind [`handle`].
+/// Which [`Runtime`] implementation [`handle`] builds for a worker budget
+/// above 1. The work-stealing pool is the only one; the enum stays so that
+/// `handle(kind, threads)` and the trainer's `with_runtime(kind, threads)`
+/// keep their signatures, which the benchmark harness under `perfbench/`
+/// calls.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum RuntimeKind {
-    /// Per-call scoped threads ([`ScopedFallback`]).
-    Scoped,
     /// The persistent work-stealing pool ([`WorkStealing`]).
     #[default]
     Pool,
@@ -186,13 +126,14 @@ pub enum RuntimeKind {
 /// An explicit once-per-process cache of an environment-derived
 /// configuration value.
 ///
-/// `from_env`-style lookups are *deliberately* cached for the life of the
-/// process: the executors they select are process-wide, so a mid-run
-/// environment change silently forking the configuration would be worse than
-/// ignoring it. This type makes that memoisation explicit (instead of a
-/// `OnceLock` buried in a function body) and gives tests a
-/// [`reset`](EnvCache::reset) escape hatch so cache semantics themselves are
-/// testable without mutating the process environment.
+/// `from_env`-style lookups (the engine's `SIDCO_THREADS`) are
+/// *deliberately* cached for the life of the process: the executors they
+/// size are process-wide, so a mid-run environment change silently forking
+/// the configuration would be worse than ignoring it. This type makes that
+/// memoisation explicit (instead of a `OnceLock` buried in a function body)
+/// and gives tests a [`reset`](EnvCache::reset) escape hatch so cache
+/// semantics themselves are testable without mutating the process
+/// environment.
 #[derive(Debug, Default)]
 pub struct EnvCache<T> {
     slot: Mutex<Option<T>>,
@@ -225,72 +166,27 @@ impl<T: Copy> EnvCache<T> {
     }
 }
 
-/// The process-wide cache behind [`RuntimeKind::from_env`].
-static ENV_RUNTIME_KIND: EnvCache<RuntimeKind> = EnvCache::new();
-
-impl RuntimeKind {
-    /// The runtime selected by the `SIDCO_RUNTIME` environment variable:
-    /// `scoped` or `pool` (case-insensitive). Unset or unrecognised values
-    /// fall back to [`RuntimeKind::Pool`]. Read **once per process** (through
-    /// an explicit [`EnvCache`]) — later environment changes are ignored, so
-    /// the process-wide executors can never disagree with the configuration
-    /// that spawned them. Tests that need a different runtime pass one
-    /// explicitly (constructor injection) instead of mutating the
-    /// environment.
-    pub fn from_env() -> Self {
-        ENV_RUNTIME_KIND.get_or_init(|| Self::parse(std::env::var(RUNTIME_ENV_VAR).ok().as_deref()))
-    }
-
-    /// Parses a `SIDCO_RUNTIME` value: `scoped` or `pool`
-    /// (case-insensitive); `None` and unrecognised values select the default
-    /// [`RuntimeKind::Pool`]. Pure — the cache-free core of
-    /// [`from_env`](RuntimeKind::from_env).
-    pub fn parse(value: Option<&str>) -> Self {
-        match value
-            .unwrap_or_default()
-            .trim()
-            .to_ascii_lowercase()
-            .as_str()
-        {
-            "scoped" => RuntimeKind::Scoped,
-            _ => RuntimeKind::Pool,
-        }
-    }
-
-    /// Clears the `SIDCO_RUNTIME` cache so the next
-    /// [`from_env`](RuntimeKind::from_env) re-reads the environment.
-    #[doc(hidden)]
-    pub fn reset_env_cache_for_tests() {
-        ENV_RUNTIME_KIND.reset();
-    }
-
-    /// The short name `handle(kind, …).name()` will report.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            RuntimeKind::Scoped => "scoped",
-            RuntimeKind::Pool => "pool",
-        }
-    }
-}
-
 /// Returns the process-wide shared runtime of the given kind and worker
 /// budget. Instances are created on first request and live for the process
-/// (so every engine configured with the same `(kind, threads)` shares one
-/// pool — and the pool's workers are spawned exactly once, on its first
-/// parallel job). `threads == 1` always returns the sequential scoped
-/// runtime: there is nothing for a pool to do.
+/// (so every engine configured with the same `threads` shares one pool —
+/// and the pool's workers are spawned exactly once, on its first parallel
+/// job). `threads == 1` always returns [`Inline`]: there is nothing for a
+/// pool to do. The `kind` parameter has a single value today; the signature
+/// is kept for the benchmark harness under `perfbench/`, which names it.
+///
+/// # Panics
+///
+/// Panics if `threads` is zero.
 pub fn handle(kind: RuntimeKind, threads: usize) -> &'static dyn Runtime {
     assert!(threads >= 1, "a runtime needs at least one thread");
-    static SEQUENTIAL: ScopedFallback = ScopedFallback { threads: 1 };
     if threads == 1 {
-        return &SEQUENTIAL;
+        return &Inline;
     }
     type Registry = Mutex<HashMap<(RuntimeKind, usize), &'static dyn Runtime>>;
     static REGISTRY: OnceLock<Registry> = OnceLock::new();
     let registry = REGISTRY.get_or_init(|| Mutex::new(HashMap::new()));
     let mut map = registry.lock().expect("runtime registry poisoned");
     *map.entry((kind, threads)).or_insert_with(|| match kind {
-        RuntimeKind::Scoped => Box::leak(Box::new(ScopedFallback::new(threads))),
         RuntimeKind::Pool => Box::leak(Box::new(WorkStealing::new(threads))),
     })
 }
@@ -301,63 +197,47 @@ mod tests {
     use std::sync::atomic::{AtomicU64, Ordering};
 
     #[test]
-    fn scoped_runs_every_index_exactly_once() {
-        for threads in [1usize, 2, 3, 8] {
-            let runtime = ScopedFallback::new(threads);
-            assert_eq!(runtime.parallelism(), threads);
-            for n in [0usize, 1, 2, 7, 100] {
-                let hits: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-                runtime.run_indexed(n, &|i| {
-                    hits[i].fetch_add(1, Ordering::Relaxed);
-                });
-                assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-            }
+    fn inline_runs_every_index_exactly_once() {
+        let runtime = Inline;
+        assert_eq!(runtime.name(), "inline");
+        assert_eq!(runtime.parallelism(), 1);
+        assert!(Runtime::stats(&runtime).is_none());
+        for n in [0usize, 1, 2, 7, 100] {
+            let hits: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
+            runtime.run_indexed(n, &|i| {
+                hits[i].fetch_add(1, Ordering::Relaxed);
+            });
+            assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
         }
-        assert_eq!(ScopedFallback::new(2).name(), "scoped");
-        assert!(Runtime::stats(&ScopedFallback::new(2)).is_none());
     }
 
     #[test]
-    #[should_panic(expected = "at least one thread")]
-    fn scoped_rejects_zero_threads() {
-        ScopedFallback::new(0);
-    }
-
-    #[test]
-    fn scoped_panics_propagate_after_every_index_ran() {
+    fn inline_panics_propagate_after_every_index_ran() {
         // The contract the pool also honours: a panicking body must not
-        // prevent the other indices of its worker's block from executing.
-        for threads in [1usize, 3] {
-            let runtime = ScopedFallback::new(threads);
-            let hits: Vec<AtomicU64> = (0..40).map(|_| AtomicU64::new(0)).collect();
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                runtime.run_indexed(40, &|i| {
-                    hits[i].fetch_add(1, Ordering::Relaxed);
-                    assert!(i != 3, "index 3 exploded");
-                });
-            }));
-            assert!(result.is_err(), "the panic must reach the caller");
-            for (i, hit) in hits.iter().enumerate() {
-                assert_eq!(hit.load(Ordering::Relaxed), 1, "index {i} at {threads}");
-            }
+        // prevent the later indices from executing, and the panic still
+        // reaches the caller.
+        let hits: Vec<AtomicU64> = (0..40).map(|_| AtomicU64::new(0)).collect();
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            Inline.run_indexed(40, &|i| {
+                hits[i].fetch_add(1, Ordering::Relaxed);
+                assert!(i != 3, "index 3 exploded");
+            });
+        }));
+        let payload = result.expect_err("the panic must reach the caller");
+        let message = payload
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+            .unwrap_or_default();
+        assert!(message.contains("index 3 exploded"), "got {message:?}");
+        for (i, hit) in hits.iter().enumerate() {
+            assert_eq!(hit.load(Ordering::Relaxed), 1, "index {i}");
         }
     }
 
     #[test]
-    fn kind_names_and_default() {
-        assert_eq!(RuntimeKind::Scoped.as_str(), "scoped");
-        assert_eq!(RuntimeKind::Pool.as_str(), "pool");
+    fn kind_default_is_the_pool() {
         assert_eq!(RuntimeKind::default(), RuntimeKind::Pool);
-    }
-
-    #[test]
-    fn kind_parsing_covers_every_spelling() {
-        assert_eq!(RuntimeKind::parse(None), RuntimeKind::Pool);
-        assert_eq!(RuntimeKind::parse(Some("")), RuntimeKind::Pool);
-        assert_eq!(RuntimeKind::parse(Some("pool")), RuntimeKind::Pool);
-        assert_eq!(RuntimeKind::parse(Some("scoped")), RuntimeKind::Scoped);
-        assert_eq!(RuntimeKind::parse(Some(" SCOPED ")), RuntimeKind::Scoped);
-        assert_eq!(RuntimeKind::parse(Some("threads")), RuntimeKind::Pool);
     }
 
     #[test]
@@ -375,13 +255,22 @@ mod tests {
         let a = handle(RuntimeKind::Pool, 2) as *const dyn Runtime;
         let b = handle(RuntimeKind::Pool, 2) as *const dyn Runtime;
         assert!(std::ptr::addr_eq(a, b), "same (kind, threads) must share");
-        let scoped = handle(RuntimeKind::Scoped, 2);
-        assert_eq!(scoped.name(), "scoped");
-        assert_eq!(scoped.parallelism(), 2);
-        // threads == 1 short-circuits to the sequential scoped runtime.
+        assert_eq!(handle(RuntimeKind::Pool, 2).name(), "pool");
+        assert_eq!(handle(RuntimeKind::Pool, 2).parallelism(), 2);
+    }
+
+    #[test]
+    fn single_thread_handle_is_inline_without_stats() {
         let seq = handle(RuntimeKind::Pool, 1);
-        assert_eq!(seq.name(), "scoped");
+        assert_eq!(seq.name(), "inline");
         assert_eq!(seq.parallelism(), 1);
+        assert!(seq.stats().is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one thread")]
+    fn handle_rejects_zero_threads() {
+        handle(RuntimeKind::Pool, 0);
     }
 
     #[test]

@@ -620,11 +620,11 @@ mod tests {
             NumaTopology::synthetic(1, 4),
         ));
         let total = Arc::new(AtomicU64::new(0));
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             for _ in 0..4 {
                 let pool = Arc::clone(&pool);
                 let total = Arc::clone(&total);
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for _ in 0..10 {
                         pool.run_indexed(50, &|_| {
                             total.fetch_add(1, Ordering::Relaxed);
@@ -632,8 +632,7 @@ mod tests {
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         assert_eq!(total.load(Ordering::Relaxed), 4 * 10 * 50);
     }
 

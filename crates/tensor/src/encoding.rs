@@ -8,8 +8,9 @@
 //!
 //! * [`delta_varint_encode`] — sort indices, delta-encode, LEB128-varint the gaps
 //!   (small gaps at high densities cost 1–2 bytes instead of 4); the index
-//!   stream shards across workers with per-chunk boundary-gap stitching
-//!   ([`delta_varint_encode_parallel`]), byte-identical to the serial encoder;
+//!   stream shards across a runtime's workers with per-chunk boundary-gap
+//!   stitching ([`delta_varint_encode_on`]), byte-identical to the serial
+//!   encoder;
 //! * [`bitmap_encode`] — a `d`-bit presence bitmap plus the packed values, which wins
 //!   whenever the density exceeds ~1/32.
 //!
@@ -110,33 +111,15 @@ pub fn raw_encode(sparse: &SparseGradient) -> EncodedGradient {
     }
 }
 
-/// Parallel variant of [`raw_encode`]: the pair stream is split into fixed-size
-/// chunks encoded concurrently (up to `threads` workers) and concatenated in
-/// chunk order, so the payload is **byte-identical** to [`raw_encode`] for
-/// every thread count. Uses 32Ki-pair shards; [`raw_encode_chunked`] exposes
-/// the shard size.
-pub fn raw_encode_parallel(sparse: &SparseGradient, threads: usize) -> EncodedGradient {
-    raw_encode_chunked(sparse, 1 << 15, threads)
-}
-
-/// [`raw_encode_parallel`] with an explicit number of pairs per shard.
+/// Parallel variant of [`raw_encode`] on an explicit
+/// [`Runtime`](sidco_runtime::Runtime): the pair stream is split into shards
+/// of `pairs_per_chunk` pairs, encoded concurrently and concatenated in
+/// shard order, so the payload is **byte-identical** to [`raw_encode`] for
+/// every runtime and shard size.
 ///
 /// # Panics
 ///
 /// Panics if `pairs_per_chunk` is zero.
-pub fn raw_encode_chunked(
-    sparse: &SparseGradient,
-    pairs_per_chunk: usize,
-    threads: usize,
-) -> EncodedGradient {
-    raw_encode_on(
-        sparse,
-        pairs_per_chunk,
-        &sidco_runtime::ScopedFallback::new(threads.max(1)),
-    )
-}
-
-/// [`raw_encode_chunked`] on an explicit [`Runtime`](sidco_runtime::Runtime).
 pub fn raw_encode_on(
     sparse: &SparseGradient,
     pairs_per_chunk: usize,
@@ -193,46 +176,11 @@ pub fn delta_varint_encode(sparse: &SparseGradient) -> EncodedGradient {
     }
 }
 
-/// Minimum index/value pairs **per engaged worker** before sharding the
-/// varint encoder pays off. Below this the shard bookkeeping (per-shard
-/// allocations, dispatch, and the concatenating copy) costs more than the
-/// encoding it parallelises: the committed `runtime_pool` bench measured the
-/// sharded encoder 2–3× *slower* than serial on 2.3M pairs whenever the
-/// engaged workers outnumbered the hardware threads, and the serial encoder
-/// already moves >100M pairs/s — so a worker needs a six-figure pair count
-/// to amortise its share of the overhead.
-pub const MIN_ENCODE_PAIRS_PER_WORKER: usize = 1 << 17;
-
-/// How many workers are worth engaging to shard-encode `nnz` pairs on a host
-/// with `host_threads` hardware threads: never more than the hardware can run
-/// concurrently (oversubscribed shards only add contention), and never so
-/// many that a worker's share drops below
-/// [`MIN_ENCODE_PAIRS_PER_WORKER`]. Returns 1 — the serial crossover
-/// fallback — for small payloads and single-core hosts.
-fn encode_worker_budget_with(host_threads: usize, requested: usize, nnz: usize) -> usize {
-    requested
-        .min(host_threads)
-        .min(nnz / MIN_ENCODE_PAIRS_PER_WORKER)
-        .max(1)
-}
-
-/// [`encode_worker_budget_with`] on the actual host parallelism — the
-/// crossover heuristic shared by [`delta_varint_encode_parallel`] and the
-/// engine's varint entry point.
-pub fn encode_worker_budget(requested: usize, nnz: usize) -> usize {
-    let host = std::thread::available_parallelism().map_or(1, |n| n.get());
-    encode_worker_budget_with(host, requested, nnz)
-}
-
-/// Parallel variant of [`delta_varint_encode`]: shards the sorted index
-/// stream into chunks encoded concurrently — but only when the workload
-/// clears the sharding crossover. [`encode_worker_budget`] caps the engaged
-/// workers at the host's hardware threads and at one worker per
-/// [`MIN_ENCODE_PAIRS_PER_WORKER`] pairs; below the crossover this falls
-/// back to the serial encoder outright, whose output the sharded path
-/// reproduces byte-for-byte anyway, so the adaptive choice is invisible on
-/// the wire. [`delta_varint_encode_chunked`] is the raw always-sharded
-/// primitive with an explicit shard size.
+/// Parallel variant of [`delta_varint_encode`] on an explicit
+/// [`Runtime`](sidco_runtime::Runtime): shards the sorted index stream into
+/// chunks of `pairs_per_chunk` pairs encoded concurrently. Whether sharding
+/// pays for a given payload is the caller's decision (the engine's
+/// `encode_varint` applies a crossover and falls back to the serial encoder).
 ///
 /// The delta encoding looks inherently serial — every gap depends on the
 /// previous index — but once the pair list is sorted the predecessor of a
@@ -241,40 +189,12 @@ pub fn encode_worker_budget(requested: usize, nnz: usize) -> usize {
 /// the shared sorted array and encodes independently. Concatenating the
 /// per-chunk gap streams (in chunk order) and the per-chunk value streams
 /// reproduces the serial byte stream exactly, so the payload is
-/// **byte-identical** to [`delta_varint_encode`] for every thread count and
+/// **byte-identical** to [`delta_varint_encode`] for every runtime and
 /// shard size.
-pub fn delta_varint_encode_parallel(sparse: &SparseGradient, threads: usize) -> EncodedGradient {
-    let workers = encode_worker_budget(threads, sparse.nnz());
-    if workers <= 1 {
-        return delta_varint_encode(sparse);
-    }
-    // One shard per engaged worker (never below the default 32Ki grain):
-    // equal-cost shards need no finer split, and fewer shards mean fewer
-    // allocations on the assembly path.
-    let pairs_per_chunk = sparse.nnz().div_ceil(workers).max(1 << 15);
-    delta_varint_encode_chunked(sparse, pairs_per_chunk, workers)
-}
-
-/// [`delta_varint_encode_parallel`] with an explicit number of pairs per
-/// shard.
 ///
 /// # Panics
 ///
 /// Panics if `pairs_per_chunk` is zero.
-pub fn delta_varint_encode_chunked(
-    sparse: &SparseGradient,
-    pairs_per_chunk: usize,
-    threads: usize,
-) -> EncodedGradient {
-    delta_varint_encode_on(
-        sparse,
-        pairs_per_chunk,
-        &sidco_runtime::ScopedFallback::new(threads.max(1)),
-    )
-}
-
-/// [`delta_varint_encode_chunked`] on an explicit
-/// [`Runtime`](sidco_runtime::Runtime).
 pub fn delta_varint_encode_on(
     sparse: &SparseGradient,
     pairs_per_chunk: usize,
@@ -399,6 +319,12 @@ mod tests {
     use super::*;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
+    use sidco_runtime::{handle, Runtime, RuntimeKind};
+
+    /// The shared runtime for a worker budget: inline at 1, the pool above.
+    fn runtime(threads: usize) -> &'static dyn Runtime {
+        handle(RuntimeKind::Pool, threads)
+    }
 
     fn random_sparse(dense_len: usize, nnz: usize, seed: u64) -> SparseGradient {
         let mut rng = SmallRng::seed_from_u64(seed);
@@ -430,7 +356,7 @@ mod tests {
             let sparse = random_sparse(d, k, 9);
             let reference = raw_encode(&sparse);
             for threads in [1, 2, 7] {
-                let parallel = raw_encode_parallel(&sparse, threads);
+                let parallel = raw_encode_on(&sparse, 1 << 15, runtime(threads));
                 assert_eq!(parallel.payload(), reference.payload());
                 assert_eq!(parallel.kind(), EncodingKind::RawPairs);
                 assert_eq!(parallel.nnz(), reference.nnz());
@@ -451,7 +377,7 @@ mod tests {
                 // Shard sizes that split mid-stream, including one smaller
                 // than the varint width transitions and one spanning all.
                 for pairs in [7usize, 1 << 10, 1 << 15, usize::MAX >> 1] {
-                    let parallel = delta_varint_encode_chunked(&sparse, pairs, threads);
+                    let parallel = delta_varint_encode_on(&sparse, pairs, runtime(threads));
                     assert_eq!(
                         parallel.payload(),
                         reference.payload(),
@@ -486,55 +412,15 @@ mod tests {
         let reference = delta_varint_encode(&sparse);
         for threads in [1usize, 3] {
             assert_eq!(
-                delta_varint_encode_chunked(&sparse, 2, threads).payload(),
+                delta_varint_encode_on(&sparse, 2, runtime(threads)).payload(),
                 reference.payload()
             );
         }
         let empty = SparseGradient::empty(64);
         assert_eq!(
-            delta_varint_encode_parallel(&empty, 4).payload(),
+            delta_varint_encode_on(&empty, 2, runtime(3)).payload(),
             delta_varint_encode(&empty).payload()
         );
-    }
-
-    #[test]
-    fn encode_worker_budget_respects_the_crossover() {
-        const MIN: usize = MIN_ENCODE_PAIRS_PER_WORKER;
-        // Small payloads always fall back to serial, at any thread count.
-        assert_eq!(encode_worker_budget_with(8, 4, 0), 1);
-        assert_eq!(encode_worker_budget_with(8, 4, MIN - 1), 1);
-        // The budget grows one worker per MIN pairs...
-        assert_eq!(encode_worker_budget_with(8, 4, MIN), 1);
-        assert_eq!(encode_worker_budget_with(8, 4, 2 * MIN), 2);
-        assert_eq!(encode_worker_budget_with(8, 4, 3 * MIN), 3);
-        // ...capped by the request and by the hardware.
-        assert_eq!(encode_worker_budget_with(8, 4, 100 * MIN), 4);
-        assert_eq!(encode_worker_budget_with(2, 4, 100 * MIN), 2);
-        assert_eq!(encode_worker_budget_with(1, 4, 100 * MIN), 1);
-        // A serial request never shards, whatever the payload.
-        assert_eq!(encode_worker_budget_with(8, 1, 100 * MIN), 1);
-    }
-
-    #[test]
-    fn adaptive_parallel_entry_is_byte_identical_on_both_sides_of_the_crossover() {
-        // Below the crossover (serial fallback) and above it (sharded on
-        // hosts with the cores; still byte-identical by the stitching
-        // property), the public entry point must agree with the serial
-        // encoder bit-for-bit.
-        for &(d, k) in &[
-            (10_000usize, 500usize),
-            (4_000_000, 2 * MIN_ENCODE_PAIRS_PER_WORKER + 123),
-        ] {
-            let sparse = random_sparse(d, k, 33);
-            let reference = delta_varint_encode(&sparse);
-            for threads in [1usize, 2, 4] {
-                assert_eq!(
-                    delta_varint_encode_parallel(&sparse, threads).payload(),
-                    reference.payload(),
-                    "d={d} k={k} threads={threads}"
-                );
-            }
-        }
     }
 
     #[test]

@@ -18,10 +18,12 @@
 //! * [`compressibility`] — the power-law decay and σ_k analyses behind Definition 1 /
 //!   Figure 7 of the paper.
 //! * [`parallel`] — chunked multi-threaded primitives (moments, counts,
-//!   selection, partial Top-k, encoding) executed on a `sidco_runtime`
-//!   [`Runtime`](sidco_runtime::Runtime) (persistent work-stealing pool or
-//!   per-call scoped threads) for the large ImageNet-scale vectors,
-//!   bit-identical across runtimes and thread counts by construction.
+//!   selection, partial Top-k) for the large ImageNet-scale vectors, one
+//!   `*_on` entry point each, executed on a `sidco_runtime`
+//!   [`Runtime`](sidco_runtime::Runtime) (the persistent work-stealing pool,
+//!   or inline for one worker) and bit-identical across worker counts by
+//!   construction; [`encoding`] shards its raw and varint encoders the same
+//!   way.
 //!
 //! # Example
 //!

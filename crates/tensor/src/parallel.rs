@@ -3,30 +3,30 @@
 //! The ImageNet-scale benchmarks in the paper compress vectors with up to 144M
 //! elements; a single pass is memory-bandwidth bound, so these helpers split the
 //! buffer into contiguous chunks and execute them on a
-//! [`Runtime`](sidco_runtime::Runtime) — either per-call scoped threads
-//! ([`ScopedFallback`](sidco_runtime::ScopedFallback), the `threads`-taking
-//! wrappers below) or the persistent NUMA-aware work-stealing pool
-//! ([`WorkStealing`](sidco_runtime::WorkStealing)) via the `*_on` variants.
+//! [`Runtime`](sidco_runtime::Runtime): the persistent NUMA-aware
+//! work-stealing pool ([`WorkStealing`](sidco_runtime::WorkStealing)) or, for
+//! a single worker, [`Inline`](sidco_runtime::Inline). Each primitive has one
+//! entry point, the `*_on` form taking the runtime explicitly; the engine in
+//! `sidco-core` is the front end that picks the runtime.
 //!
 //! # Determinism contract
 //!
 //! Every function here partitions its input into chunks of a **fixed chunk size**
 //! ([`DEFAULT_CHUNK_SIZE`] unless the caller picks another), *never* a size derived
-//! from the requested thread count or runtime. Each chunk writes its partial
-//! result into its own slot, and slots are always merged in chunk order. The
-//! runtime therefore only decides *where and when* the (identical) chunk list
+//! from the runtime's worker count. Each chunk writes its partial result into
+//! its own slot, and slots are always merged in chunk order. The runtime
+//! therefore only decides *where and when* the (identical) chunk list
 //! executes, so every reduction and selection below is **bit-identical across
-//! runtimes, thread counts, and steal orders**. The engine in `sidco-core`
-//! builds on this to guarantee that compressors produce the same
-//! `SparseGradient` at 1, 2 or 64 threads, on the pool or on scoped threads.
-//! (Across *machines* the guarantee holds up to platform `libm` rounding: the
-//! moment passes call `ln`, whose last bit may differ between libc
-//! implementations, which can move a fitted threshold by one ulp.)
+//! worker counts and steal orders**. The engine in `sidco-core` builds on this
+//! to guarantee that compressors produce the same `SparseGradient` at 1, 2 or
+//! 64 threads. (Across *machines* the guarantee holds up to platform `libm`
+//! rounding: the moment passes call `ln`, whose last bit may differ between
+//! libc implementations, which can move a fitted threshold by one ulp.)
 
 use crate::sparse::SparseGradient;
 use crate::threshold::cap_largest;
 use crate::topk::{top_k, TopKAlgorithm};
-use sidco_runtime::{Runtime, ScopedFallback};
+use sidco_runtime::Runtime;
 use sidco_stats::moments::{AbsMoments, SignedMoments};
 use std::sync::Mutex;
 
@@ -34,25 +34,6 @@ use std::sync::Mutex;
 /// parallelism on megabyte-scale gradients, large enough that the per-chunk
 /// bookkeeping is negligible.
 pub const DEFAULT_CHUNK_SIZE: usize = 1 << 16;
-
-/// Applies `f` to every fixed-size chunk of `data`, using up to `threads`
-/// per-call scoped workers, and returns the per-chunk results **in chunk
-/// order**. Equivalent to [`map_chunks_on`] with a
-/// [`ScopedFallback`](sidco_runtime::ScopedFallback) runtime. A `threads`
-/// value of 0 is treated as 1 (sequential), matching the pre-runtime
-/// behaviour of this function.
-///
-/// # Panics
-///
-/// Panics if `chunk_size == 0`.
-pub fn map_chunks<T, R, F>(data: &[T], chunk_size: usize, threads: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &[T]) -> R + Sync,
-{
-    map_chunks_on(data, chunk_size, &ScopedFallback::new(threads.max(1)), f)
-}
 
 /// Applies `f` to every fixed-size chunk of `data` on an explicit
 /// [`Runtime`], and returns the per-chunk results **in chunk order**.
@@ -105,21 +86,10 @@ where
         .collect()
 }
 
-/// Computes [`AbsMoments`] of a gradient using up to `threads` worker threads
-/// over [`DEFAULT_CHUNK_SIZE`]-element chunks.
+/// Computes [`AbsMoments`] of a gradient in fixed-size chunks on `runtime`.
 ///
-/// Bit-identical across thread counts (see the module docs); within
+/// Bit-identical across worker counts (see the module docs); within
 /// floating-point reassociation error of [`AbsMoments::compute`].
-pub fn abs_moments_parallel(grad: &[f32], threads: usize) -> AbsMoments {
-    abs_moments_chunked(grad, DEFAULT_CHUNK_SIZE, threads)
-}
-
-/// [`abs_moments_parallel`] with an explicit chunk size.
-pub fn abs_moments_chunked(grad: &[f32], chunk_size: usize, threads: usize) -> AbsMoments {
-    abs_moments_on(grad, chunk_size, &ScopedFallback::new(threads.max(1)))
-}
-
-/// [`abs_moments_chunked`] on an explicit [`Runtime`].
 pub fn abs_moments_on(grad: &[f32], chunk_size: usize, runtime: &dyn Runtime) -> AbsMoments {
     let parts = map_chunks_on(grad, chunk_size, runtime, |_, chunk| {
         AbsMoments::compute(chunk)
@@ -128,23 +98,8 @@ pub fn abs_moments_on(grad: &[f32], chunk_size: usize, runtime: &dyn Runtime) ->
 }
 
 /// Computes the shifted exceedance moments (`|g| - threshold` for
-/// `|g| >= threshold`, the peaks-over-threshold input of Lemma 2) in fixed-size
-/// chunks using up to `threads` worker threads.
-pub fn exceedance_moments_chunked(
-    grad: &[f32],
-    threshold: f64,
-    chunk_size: usize,
-    threads: usize,
-) -> AbsMoments {
-    exceedance_moments_on(
-        grad,
-        threshold,
-        chunk_size,
-        &ScopedFallback::new(threads.max(1)),
-    )
-}
-
-/// [`exceedance_moments_chunked`] on an explicit [`Runtime`].
+/// `|g| >= threshold`, the peaks-over-threshold input of Lemma 2) in
+/// fixed-size chunks on `runtime`.
 pub fn exceedance_moments_on(
     grad: &[f32],
     threshold: f64,
@@ -157,13 +112,8 @@ pub fn exceedance_moments_on(
     merge_abs_moments(&parts)
 }
 
-/// Computes [`SignedMoments`] in fixed-size chunks using up to `threads` worker
-/// threads (the Gaussian-fit input of the GaussianKSGD baseline).
-pub fn signed_moments_chunked(grad: &[f32], chunk_size: usize, threads: usize) -> SignedMoments {
-    signed_moments_on(grad, chunk_size, &ScopedFallback::new(threads.max(1)))
-}
-
-/// [`signed_moments_chunked`] on an explicit [`Runtime`].
+/// Computes [`SignedMoments`] in fixed-size chunks on `runtime` (the
+/// Gaussian-fit input of the GaussianKSGD baseline).
 pub fn signed_moments_on(grad: &[f32], chunk_size: usize, runtime: &dyn Runtime) -> SignedMoments {
     let parts = map_chunks_on(grad, chunk_size, runtime, |_, chunk| {
         SignedMoments::compute(chunk)
@@ -171,29 +121,9 @@ pub fn signed_moments_on(grad: &[f32], chunk_size: usize, runtime: &dyn Runtime)
     merge_signed_moments(&parts)
 }
 
-/// Counts elements with `|g| >= threshold` using up to `threads` worker threads
-/// over [`DEFAULT_CHUNK_SIZE`]-element chunks. Exact (integer sum), so always
-/// equal to [`crate::threshold::count_above_threshold`].
-pub fn count_above_threshold_parallel(grad: &[f32], threshold: f64, threads: usize) -> usize {
-    count_above_threshold_chunked(grad, threshold, DEFAULT_CHUNK_SIZE, threads)
-}
-
-/// [`count_above_threshold_parallel`] with an explicit chunk size.
-pub fn count_above_threshold_chunked(
-    grad: &[f32],
-    threshold: f64,
-    chunk_size: usize,
-    threads: usize,
-) -> usize {
-    count_above_threshold_on(
-        grad,
-        threshold,
-        chunk_size,
-        &ScopedFallback::new(threads.max(1)),
-    )
-}
-
-/// [`count_above_threshold_chunked`] on an explicit [`Runtime`].
+/// Counts elements with `|g| >= threshold` in fixed-size chunks on
+/// `runtime`. Exact (integer sum), so always equal to
+/// [`crate::threshold::count_above_threshold`].
 pub fn count_above_threshold_on(
     grad: &[f32],
     threshold: f64,
@@ -212,22 +142,7 @@ pub fn count_above_threshold_on(
 /// chunk order — no re-sorting is needed because chunk order *is* index order.
 ///
 /// Bit-identical to [`crate::threshold::select_above_threshold`] for every
-/// `threads` and `chunk_size` value (the per-element comparison is unchanged).
-pub fn select_above_threshold_chunked(
-    grad: &[f32],
-    threshold: f64,
-    chunk_size: usize,
-    threads: usize,
-) -> SparseGradient {
-    select_above_threshold_on(
-        grad,
-        threshold,
-        chunk_size,
-        &ScopedFallback::new(threads.max(1)),
-    )
-}
-
-/// [`select_above_threshold_chunked`] on an explicit [`Runtime`].
+/// runtime and `chunk_size` value (the per-element comparison is unchanged).
 pub fn select_above_threshold_on(
     grad: &[f32],
     threshold: f64,
@@ -260,32 +175,8 @@ pub fn select_above_threshold_on(
 ///
 /// Ties at the selection boundary are broken deterministically by ascending
 /// index, and the returned indices are sorted ascending, so the result depends
-/// only on `(grad, k, chunk_size)` — never on `threads`. Uses quickselect
-/// within each chunk; [`top_k_chunked_with`] exposes the per-chunk algorithm.
-pub fn top_k_chunked(grad: &[f32], k: usize, chunk_size: usize, threads: usize) -> SparseGradient {
-    top_k_chunked_with(grad, k, chunk_size, threads, TopKAlgorithm::QuickSelect)
-}
-
-/// [`top_k_chunked`] with an explicit per-chunk selection algorithm (the
-/// algorithm can change which tied-magnitude candidates each chunk nominates,
-/// but never the result's dependence on the thread count).
-pub fn top_k_chunked_with(
-    grad: &[f32],
-    k: usize,
-    chunk_size: usize,
-    threads: usize,
-    algorithm: TopKAlgorithm,
-) -> SparseGradient {
-    top_k_on_with(
-        grad,
-        k,
-        chunk_size,
-        &ScopedFallback::new(threads.max(1)),
-        algorithm,
-    )
-}
-
-/// [`top_k_chunked`] on an explicit [`Runtime`] (quickselect per chunk).
+/// only on `(grad, k, chunk_size)` — never on the runtime. Uses quickselect
+/// within each chunk; [`top_k_on_with`] exposes the per-chunk algorithm.
 pub fn top_k_on(
     grad: &[f32],
     k: usize,
@@ -295,7 +186,9 @@ pub fn top_k_on(
     top_k_on_with(grad, k, chunk_size, runtime, TopKAlgorithm::QuickSelect)
 }
 
-/// [`top_k_chunked_with`] on an explicit [`Runtime`].
+/// [`top_k_on`] with an explicit per-chunk selection algorithm (the
+/// algorithm can change which tied-magnitude candidates each chunk nominates,
+/// but never the result's dependence on the runtime).
 pub fn top_k_on_with(
     grad: &[f32],
     k: usize,
@@ -314,7 +207,7 @@ pub fn top_k_on_with(
     // Keep every chunk at least 2k elements so the partial stage always
     // discards at least half of each chunk; a smaller chunk would nominate
     // itself wholesale. The effective size is a pure function of
-    // (k, chunk_size) — never of `threads` — so determinism per
+    // (k, chunk_size) — never of the runtime — so determinism per
     // configuration holds.
     let chunk_size = chunk_size.max(2 * k);
     let parts: Vec<(Vec<u32>, Vec<f32>)> = map_chunks_on(grad, chunk_size, runtime, |c, chunk| {
@@ -442,18 +335,25 @@ mod tests {
     use super::*;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
+    use sidco_runtime::{handle, Inline, RuntimeKind};
 
     fn random_gradient(n: usize, seed: u64) -> Vec<f32> {
         let mut rng = SmallRng::seed_from_u64(seed);
         (0..n).map(|_| rng.gen_range(-1.0f32..1.0)).collect()
     }
 
+    /// The shared runtime for a worker budget: [`Inline`] at 1, the pool
+    /// above.
+    fn runtime(threads: usize) -> &'static dyn Runtime {
+        handle(RuntimeKind::Pool, threads)
+    }
+
     #[test]
     fn parallel_moments_match_sequential() {
         let grad = random_gradient(300_000, 61);
         let seq = AbsMoments::compute(&grad);
-        for threads in [1, 2, 4, 8] {
-            let par = abs_moments_parallel(&grad, threads);
+        for threads in [1, 2, 4] {
+            let par = abs_moments_on(&grad, DEFAULT_CHUNK_SIZE, runtime(threads));
             assert_eq!(par.count, seq.count);
             assert_eq!(par.positive_count, seq.positive_count);
             assert!((par.mean - seq.mean).abs() < 1e-9);
@@ -465,21 +365,17 @@ mod tests {
 
     #[test]
     fn moments_are_bit_identical_across_thread_counts() {
-        // The satellite guarantee: chunking depends only on the chunk size, so
-        // every thread count produces the exact same bits.
+        // Chunking depends only on the chunk size, so every worker count
+        // produces the exact same bits as the inline runtime.
         let grad = random_gradient(500_000, 71);
-        let reference = abs_moments_parallel(&grad, 1);
-        for threads in [2, 3, 4, 7, 16] {
-            assert_eq!(abs_moments_parallel(&grad, threads), reference);
-        }
-        let signed_ref = signed_moments_chunked(&grad, 1 << 12, 1);
-        let exceed_ref = exceedance_moments_chunked(&grad, 0.5, 1 << 12, 1);
-        for threads in [2, 5, 9] {
-            assert_eq!(signed_moments_chunked(&grad, 1 << 12, threads), signed_ref);
-            assert_eq!(
-                exceedance_moments_chunked(&grad, 0.5, 1 << 12, threads),
-                exceed_ref
-            );
+        let reference = abs_moments_on(&grad, DEFAULT_CHUNK_SIZE, &Inline);
+        let signed_ref = signed_moments_on(&grad, 1 << 12, &Inline);
+        let exceed_ref = exceedance_moments_on(&grad, 0.5, 1 << 12, &Inline);
+        for threads in [2, 3, 7] {
+            let pool = runtime(threads);
+            assert_eq!(abs_moments_on(&grad, DEFAULT_CHUNK_SIZE, pool), reference);
+            assert_eq!(signed_moments_on(&grad, 1 << 12, pool), signed_ref);
+            assert_eq!(exceedance_moments_on(&grad, 0.5, 1 << 12, pool), exceed_ref);
         }
     }
 
@@ -488,18 +384,22 @@ mod tests {
         let grad = random_gradient(300_000, 62);
         let seq = crate::threshold::count_above_threshold(&grad, 0.5);
         for threads in [1, 3, 7] {
-            assert_eq!(count_above_threshold_parallel(&grad, 0.5, threads), seq);
+            assert_eq!(
+                count_above_threshold_on(&grad, 0.5, DEFAULT_CHUNK_SIZE, runtime(threads)),
+                seq
+            );
         }
     }
 
     #[test]
     fn small_inputs_fall_back_to_sequential() {
         let grad = random_gradient(100, 63);
-        let par = abs_moments_parallel(&grad, 8);
+        let pool = runtime(7);
+        let par = abs_moments_on(&grad, DEFAULT_CHUNK_SIZE, pool);
         let seq = AbsMoments::compute(&grad);
         assert_eq!(par, seq);
         assert_eq!(
-            count_above_threshold_parallel(&grad, 0.2, 8),
+            count_above_threshold_on(&grad, 0.2, DEFAULT_CHUNK_SIZE, pool),
             crate::threshold::count_above_threshold(&grad, 0.2)
         );
     }
@@ -518,49 +418,48 @@ mod tests {
     #[test]
     fn map_chunks_preserves_chunk_order() {
         let data: Vec<f32> = (0..1000).map(|i| i as f32).collect();
-        for threads in [1, 2, 3, 8] {
-            let firsts = map_chunks(&data, 64, threads, |c, chunk| (c, chunk[0]));
+        for threads in [1, 2, 3, 7] {
+            let firsts = map_chunks_on(&data, 64, runtime(threads), |c, chunk| (c, chunk[0]));
             assert_eq!(firsts.len(), 1000usize.div_ceil(64));
             for (c, &(idx, first)) in firsts.iter().enumerate() {
                 assert_eq!(idx, c);
                 assert_eq!(first, (c * 64) as f32);
             }
         }
-        assert!(map_chunks(&[] as &[f32], 64, 4, |_, _| 0).is_empty());
+        assert!(map_chunks_on(&[] as &[f32], 64, runtime(3), |_, _| 0).is_empty());
     }
 
     #[test]
-    fn pool_and_scoped_runtimes_produce_identical_bits() {
+    fn pool_and_inline_runtimes_produce_identical_bits() {
         use sidco_runtime::{NumaTopology, WorkStealing};
         let grad = random_gradient(100_000, 77);
-        let scoped = ScopedFallback::new(1);
         // A multi-socket synthetic topology forces cross-socket placement and
         // stealing even on single-socket hosts.
         let pool = WorkStealing::with_topology(4, NumaTopology::synthetic(2, 2));
         for chunk in [97usize, 1 << 12] {
             assert_eq!(
                 abs_moments_on(&grad, chunk, &pool),
-                abs_moments_on(&grad, chunk, &scoped)
+                abs_moments_on(&grad, chunk, &Inline)
             );
             assert_eq!(
                 signed_moments_on(&grad, chunk, &pool),
-                signed_moments_on(&grad, chunk, &scoped)
+                signed_moments_on(&grad, chunk, &Inline)
             );
             assert_eq!(
                 exceedance_moments_on(&grad, 0.4, chunk, &pool),
-                exceedance_moments_on(&grad, 0.4, chunk, &scoped)
+                exceedance_moments_on(&grad, 0.4, chunk, &Inline)
             );
             assert_eq!(
                 count_above_threshold_on(&grad, 0.4, chunk, &pool),
-                count_above_threshold_on(&grad, 0.4, chunk, &scoped)
+                count_above_threshold_on(&grad, 0.4, chunk, &Inline)
             );
             assert_eq!(
                 select_above_threshold_on(&grad, 0.4, chunk, &pool),
-                select_above_threshold_on(&grad, 0.4, chunk, &scoped)
+                select_above_threshold_on(&grad, 0.4, chunk, &Inline)
             );
             assert_eq!(
                 top_k_on(&grad, 1_717, chunk, &pool),
-                top_k_on(&grad, 1_717, chunk, &scoped)
+                top_k_on(&grad, 1_717, chunk, &Inline)
             );
         }
         let stats = pool.stats();
@@ -574,7 +473,7 @@ mod tests {
         let seq = crate::threshold::select_above_threshold(&grad, 0.4);
         for threads in [1, 2, 7] {
             for chunk in [97, 1 << 12, 1 << 20] {
-                let par = select_above_threshold_chunked(&grad, 0.4, chunk, threads);
+                let par = select_above_threshold_on(&grad, 0.4, chunk, runtime(threads));
                 assert_eq!(par, seq);
             }
         }
@@ -587,9 +486,9 @@ mod tests {
             let exact = top_k(&grad, k, TopKAlgorithm::FullSort);
             let mut exact_mags: Vec<f32> = exact.values().iter().map(|v| v.abs()).collect();
             exact_mags.sort_by(|a, b| b.partial_cmp(a).unwrap());
-            let reference = top_k_chunked(&grad, k, 1 << 10, 1);
-            for threads in [2, 4, 7] {
-                assert_eq!(top_k_chunked(&grad, k, 1 << 10, threads), reference);
+            let reference = top_k_on(&grad, k, 1 << 10, &Inline);
+            for threads in [2, 3, 7] {
+                assert_eq!(top_k_on(&grad, k, 1 << 10, runtime(threads)), reference);
             }
             assert_eq!(reference.nnz(), k);
             let mut mags: Vec<f32> = reference.values().iter().map(|v| v.abs()).collect();
@@ -601,7 +500,7 @@ mod tests {
     #[test]
     fn chunked_topk_breaks_ties_by_index() {
         let grad = [1.0f32; 64];
-        let s = top_k_chunked(&grad, 10, 8, 4);
+        let s = top_k_on(&grad, 10, 8, runtime(3));
         assert_eq!(s.nnz(), 10);
         let expected: Vec<u32> = (0..10).collect();
         assert_eq!(s.indices(), expected.as_slice());
@@ -610,9 +509,10 @@ mod tests {
     #[test]
     fn chunked_topk_edge_cases() {
         let grad = [1.0f32, -2.0, 3.0];
-        assert_eq!(top_k_chunked(&grad, 0, 2, 4).nnz(), 0);
-        assert_eq!(top_k_chunked(&grad, 3, 2, 4).nnz(), 3);
-        assert_eq!(top_k_chunked(&grad, 10, 2, 4).nnz(), 3);
-        assert_eq!(top_k_chunked(&[], 5, 2, 4).nnz(), 0);
+        let pool = runtime(3);
+        assert_eq!(top_k_on(&grad, 0, 2, pool).nnz(), 0);
+        assert_eq!(top_k_on(&grad, 3, 2, pool).nnz(), 3);
+        assert_eq!(top_k_on(&grad, 10, 2, pool).nnz(), 3);
+        assert_eq!(top_k_on(&[], 5, 2, pool).nnz(), 0);
     }
 }

@@ -174,15 +174,20 @@ impl Value {
     }
 }
 
+/// A cursor over the input. `pos` only ever advances past ASCII bytes or to
+/// the end of a run of string content, so it always sits on a char
+/// boundary and slicing `src` at it is O(1).
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Parser<'a> {
-    fn new(s: &'a str) -> Self {
+    fn new(src: &'a str) -> Self {
         Self {
-            bytes: s.as_bytes(),
+            src,
+            bytes: src.as_bytes(),
             pos: 0,
         }
     }
@@ -246,9 +251,8 @@ impl<'a> Parser<'a> {
                 break;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid utf8 in number"))?;
-        text.parse::<f64>()
+        self.src[start..self.pos]
+            .parse::<f64>()
             .map(Value::Num)
             .map_err(|_| self.err("invalid number"))
     }
@@ -276,11 +280,9 @@ impl<'a> Parser<'a> {
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
                             let hex = self
-                                .bytes
+                                .src
                                 .get(self.pos + 1..self.pos + 5)
                                 .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| self.err("invalid \\u escape"))?;
                             let code = u32::from_str_radix(hex, 16)
                                 .map_err(|_| self.err("invalid \\u escape"))?;
                             out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
@@ -291,14 +293,13 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (the input came from &str, so
-                    // boundaries are valid).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid utf8"))?;
-                    // INVARIANT: peek() returned Some, so rest is non-empty.
-                    let c = rest.chars().next().expect("non-empty string tail");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run up to the next quote or escape in
+                    // one step. Both delimiters are ASCII, so the run ends
+                    // on a char boundary.
+                    let rest = &self.src[self.pos..];
+                    let run = rest.find(['"', '\\']).unwrap_or(rest.len());
+                    out.push_str(&rest[..run]);
+                    self.pos += run;
                 }
             }
         }
@@ -562,5 +563,38 @@ mod tests {
         );
         assert_eq!(parsed.complete_events, 1);
         assert_eq!(parsed.max_ts_us, 1500.25);
+    }
+
+    #[test]
+    fn parser_is_linear_on_large_documents() {
+        // A ~4 MiB track name (multi-byte characters, escapes and a `\u`
+        // escape mixed in) plus 20k complete events: a parser that re-scans
+        // the rest of the document per character could not finish this
+        // inside a test run.
+        let encoded_unit = r#"abé\"→ω\\xyz\n"#;
+        let decoded_unit = "ab\u{e9}\"→ω\\xyz\n";
+        let repeats = (4 << 20) / encoded_unit.len();
+        let mut doc = String::from(
+            r#"{"traceEvents":[{"ph":"M","name":"thread_name","pid":1,"tid":2,"args":{"name":""#,
+        );
+        for _ in 0..repeats {
+            doc.push_str(encoded_unit);
+        }
+        doc.push_str(r#""}}"#);
+        let events = 20_000;
+        for i in 0..events {
+            doc.push_str(&format!(
+                r#",{{"ph":"X","pid":1,"tid":2,"ts":{i},"dur":0.5,"name":"span é {i}"}}"#
+            ));
+        }
+        doc.push_str("]}");
+        assert!(doc.len() > 4 << 20);
+
+        let parsed = parse_chrome_trace(&doc).expect("valid");
+        assert_eq!(parsed.threads[&(1, 2)], decoded_unit.repeat(repeats));
+        assert_eq!(parsed.complete_events, events);
+        assert_eq!(parsed.instant_events, 0);
+        assert_eq!(parsed.total_dur_us, 0.5 * events as f64);
+        assert_eq!(parsed.max_ts_us, (events - 1) as f64 + 0.5);
     }
 }

@@ -3,8 +3,8 @@
 //!
 //! * every compressor must produce **bit-identical** `SparseGradient`s at
 //!   `threads = 1, 2, 7` (property-based, multi-chunk decompositions);
-//! * every compressor must be bit-identical between the `ScopedFallback` and
-//!   `WorkStealing` runtimes at every tested worker count;
+//! * every compressor on the `WorkStealing` pool at 2 and 7 workers must be
+//!   bit-identical to the same compressor on the `Inline` runtime;
 //! * the pool must spawn its OS workers exactly once per engine lifetime —
 //!   repeated `compress` calls reuse them (asserted via pool stats);
 //! * the parallel delta-varint encoder must be byte-identical to the serial
@@ -12,18 +12,18 @@
 //! * overlapped (bucketed, pipelined) trainer runs must converge identically
 //!   to serial runs and only differ in simulated time.
 //!
-//! Env-cache audit: `SIDCO_THREADS`/`SIDCO_RUNTIME` are read once per process
-//! (explicit `EnvCache`s behind `CompressionEngine::from_env` /
-//! `RuntimeKind::from_env`), so a test mutating them after first touch would
-//! silently test the wrong configuration. No test in this binary mutates the
-//! environment — every test that cares about a thread count or runtime
-//! injects it through `CompressionEngine::new(..)` / `.with_runtime(..)`
-//! (constructor injection), which keeps the suite order-independent; the CI
-//! matrix sets both variables before the process starts.
+//! Env-cache audit: `SIDCO_THREADS` is read once per process (an explicit
+//! `EnvCache` behind `CompressionEngine::from_env`), so a test mutating it
+//! after first touch would silently test the wrong configuration. No test in
+//! this binary mutates the environment — every test that cares about a
+//! thread count injects it through `CompressionEngine::new(..)` (constructor
+//! injection), which keeps the suite order-independent; the CI matrix sets
+//! the variable before the process starts.
 
 use proptest::prelude::*;
 use sidco::core::engine::{CompressionEngine, RuntimeKind};
 use sidco::prelude::*;
+use sidco::runtime::handle;
 use std::sync::Arc;
 
 /// Strategy: a gradient long enough to span several 64-element chunks, with
@@ -104,17 +104,21 @@ proptest! {
         grad in gradient_strategy(),
         delta in 0.005f64..0.5,
     ) {
-        // All 8 engine-routed compressors, engine-on-pool vs engine-on-scoped,
+        // All 8 engine-routed compressors, engine-on-pool vs engine-inline,
         // at every tested worker count: the runtime decides only where chunks
-        // execute, never what they contain.
+        // execute, never what they contain. A 97-element chunk (unlike the
+        // 64 of the thread-count property) leaves a ragged last chunk.
+        let inline = CompressionEngine::sequential().with_chunk_size(97);
+        prop_assert_eq!(inline.shared_runtime().name(), "inline");
+        let reference = compress_all_on(inline, &grad, delta);
         for threads in [2usize, 7] {
-            let base = CompressionEngine::new(threads).with_chunk_size(64);
-            let scoped = compress_all_on(base.with_runtime(RuntimeKind::Scoped), &grad, delta);
-            let pool = compress_all_on(base.with_runtime(RuntimeKind::Pool), &grad, delta);
-            for ((name, a), (_, b)) in scoped.iter().zip(&pool) {
+            let pool = CompressionEngine::new(threads).with_chunk_size(97);
+            prop_assert_eq!(pool.shared_runtime().name(), "pool");
+            let other = compress_all_on(pool, &grad, delta);
+            for ((name, a), (_, b)) in reference.iter().zip(&other) {
                 prop_assert!(
                     a == b,
-                    "{name} differs between scoped and pool at {threads} threads"
+                    "{name} differs between inline and pool at {threads} threads"
                 );
             }
         }
@@ -125,12 +129,13 @@ proptest! {
         grad in gradient_strategy(),
         threshold in 0.0f64..0.4,
     ) {
-        use sidco::tensor::encoding::{delta_varint_encode, delta_varint_encode_chunked};
+        use sidco::tensor::encoding::{delta_varint_encode, delta_varint_encode_on};
         let sparse = sidco::tensor::threshold::select_above_threshold(&grad, threshold);
         let reference = delta_varint_encode(&sparse);
         for workers in [1usize, 2, 7] {
             // 17-pair shards split the gap stream mid-run on these inputs.
-            let parallel = delta_varint_encode_chunked(&sparse, 17, workers);
+            let runtime = handle(RuntimeKind::Pool, workers);
+            let parallel = delta_varint_encode_on(&sparse, 17, runtime);
             prop_assert!(
                 parallel.payload() == reference.payload(),
                 "varint stream differs at {workers} workers"
@@ -156,15 +161,14 @@ proptest! {
 
 /// The pool-lifecycle acceptance test: the engine's pool spawns its OS
 /// workers exactly once (lazily, on the first parallel call) and every later
-/// `compress` call reuses them — the per-call spawn overhead the scoped
-/// runtime pays is gone.
+/// `compress` call reuses them, so no call pays a thread spawn.
 #[test]
 fn repeated_compress_calls_never_spawn_new_os_threads() {
     // The 5-thread pool may be shared with other tests in this binary, but
     // the assertions below are robust to that: `threads_spawned` is exactly
     // the worker count no matter who triggered the lazy spawn, and the
     // job/chunk counters only ever grow.
-    let engine = CompressionEngine::new(5).with_runtime(RuntimeKind::Pool);
+    let engine = CompressionEngine::new(5);
     let grad: Vec<f32> = (1..=400_000)
         .map(|j| if j % 2 == 0 { 1.0 } else { -1.0 } * (j as f32).powf(-0.6))
         .collect();
@@ -213,7 +217,7 @@ fn repeated_compress_calls_never_spawn_new_os_threads() {
     );
     // A second engine value with the same configuration shares the pool
     // (engines are plain values; executors are process-wide).
-    let alias = CompressionEngine::new(5).with_runtime(RuntimeKind::Pool);
+    let alias = CompressionEngine::new(5);
     assert_eq!(alias.pool_stats().expect("shared pool").threads_spawned, 5);
 }
 
@@ -285,10 +289,10 @@ fn overlapped_trainer_converges_identically_to_serial() {
 }
 
 /// Cross-validation of the engine-aware device cost model
-/// (`DeviceProfile::compression_time_with_workers` and the runtime dispatch
+/// (`DeviceProfile::compression_time_with_workers` and the pool dispatch
 /// extension `compression_time_with_runtime`) against the *measured*
-/// multi-thread behaviour of the real `CompressionEngine` on this host — run
-/// against **both** runtimes, the persistent pool and the scoped fallback.
+/// multi-thread behaviour of the real `CompressionEngine` on the pool,
+/// relative to the inline single-worker engine.
 ///
 /// Wall-clock assertions are kept deliberately loose (CI machines vary, and
 /// single-core hosts measure no speed-up at all): the test checks the
@@ -311,9 +315,9 @@ fn modeled_engine_speedup_bounds_the_measured_speedup() {
     let cpu = DeviceProfile::cpu();
     let kind = CompressorKind::Sidco(sidco::stats::fit::SidKind::Exponential);
 
-    let measure = |threads: usize, runtime: RuntimeKind| -> f64 {
+    let measure = |threads: usize| -> f64 {
         let mut compressor = SidcoCompressor::new(SidcoConfig::exponential())
-            .with_engine(CompressionEngine::new(threads).with_runtime(runtime));
+            .with_engine(CompressionEngine::new(threads));
         compressor.compress(&grad, DELTA); // warm up (allocation, stages, pool spawn)
         let mut best = f64::INFINITY;
         for _ in 0..3 {
@@ -324,34 +328,41 @@ fn modeled_engine_speedup_bounds_the_measured_speedup() {
         best
     };
 
-    for runtime in [RuntimeKind::Pool, RuntimeKind::Scoped] {
-        let serial = measure(1, runtime);
-        for threads in [2usize, 4] {
-            let measured_speedup = serial / measure(threads, runtime);
-            let modeled_speedup = cpu.engine_speedup(kind, DIM, DELTA, 2, threads);
-            // The model shards per-element work perfectly, so it is an upper
-            // envelope for the measured ratio (3× slack for timer noise, cache
-            // effects and loaded CI runners).
-            assert!(
-                measured_speedup <= modeled_speedup * 3.0,
-                "[{:?}] measured {measured_speedup:.2}x exceeds even thrice the \
-                 modeled ideal {modeled_speedup:.2}x at {threads} threads",
-                runtime
-            );
-            // And no configuration should make compression dramatically slower.
-            assert!(
-                measured_speedup > 0.2,
-                "[{runtime:?}] {threads} threads slowed compression {measured_speedup:.2}x"
-            );
-            // The model itself predicts a real speed-up for this linear-pass
-            // scheme, bounded by the thread count.
-            assert!(modeled_speedup > 1.0 && modeled_speedup <= threads as f64);
-            // The dispatch-aware model orders the runtimes: the persistent
-            // pool's per-call cost is strictly below the scoped spawn storm.
-            assert!(
-                cpu.compression_time_with_runtime(kind, DIM, DELTA, 2, threads, true)
-                    < cpu.compression_time_with_runtime(kind, DIM, DELTA, 2, threads, false)
-            );
-        }
+    let serial = measure(1);
+    let mut previous_dispatch = 0.0;
+    for threads in [2usize, 4] {
+        let measured_speedup = serial / measure(threads);
+        let modeled_speedup = cpu.engine_speedup(kind, DIM, DELTA, 2, threads);
+        // The model shards per-element work perfectly, so it is an upper
+        // envelope for the measured ratio (3× slack for timer noise, cache
+        // effects and loaded CI runners).
+        assert!(
+            measured_speedup <= modeled_speedup * 3.0,
+            "measured {measured_speedup:.2}x exceeds even thrice the modeled \
+             ideal {modeled_speedup:.2}x at {threads} threads"
+        );
+        // And no configuration should make compression dramatically slower.
+        assert!(
+            measured_speedup > 0.2,
+            "{threads} threads slowed compression {measured_speedup:.2}x"
+        );
+        // The model itself predicts a real speed-up for this linear-pass
+        // scheme, bounded by the thread count.
+        assert!(modeled_speedup > 1.0 && modeled_speedup <= threads as f64);
+        // The dispatch-aware model: single-worker dispatch is free, the
+        // pool's per-call cost grows with its width, and it stays a small
+        // fraction of a call this large.
+        let compute = cpu.compression_time_with_workers(kind, DIM, DELTA, 2, threads);
+        let dispatch = cpu.compression_time_with_runtime(kind, DIM, DELTA, 2, threads) - compute;
+        assert!(
+            dispatch > previous_dispatch,
+            "dispatch not monotone at {threads}"
+        );
+        assert!(dispatch < 0.05 * compute, "dispatch dominates at {threads}");
+        previous_dispatch = dispatch;
     }
+    assert_eq!(
+        cpu.compression_time_with_runtime(kind, DIM, DELTA, 2, 1),
+        cpu.compression_time(kind, DIM, DELTA, 2)
+    );
 }

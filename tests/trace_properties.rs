@@ -236,7 +236,7 @@ proptest! {
 }
 
 /// The tentpole guarantee: tracing is strictly observational. For every
-/// evaluated compressor on both runtimes, a traced run's losses, quality
+/// evaluated compressor, inline and on the pool, a traced run's losses, quality
 /// series, final metrics and simulated clock are bit-identical to the
 /// untraced run — the only difference is the attached [`TraceReport`].
 #[test]
@@ -247,7 +247,7 @@ fn traced_runs_are_bit_identical_to_untraced_runs() {
         12,
     ));
     for kind in sidco::core::compressor::CompressorKind::EVALUATED {
-        for (runtime, threads) in [(RuntimeKind::Scoped, 1), (RuntimeKind::Pool, 3)] {
+        for threads in [1usize, 3] {
             let run = |trace: bool| {
                 let config = TrainerConfig {
                     iterations: 5,
@@ -267,7 +267,7 @@ fn traced_runs_are_bit_identical_to_untraced_runs() {
                     config,
                     || build_compressor(kind, 23).expect("evaluated kinds build"),
                 )
-                .with_runtime(runtime, threads)
+                .with_runtime(RuntimeKind::Pool, threads)
                 .run(0.05)
             };
             let plain = run(false);
@@ -281,12 +281,12 @@ fn traced_runs_are_bit_identical_to_untraced_runs() {
             assert_eq!(
                 losses(&plain),
                 losses(&traced),
-                "{kind:?} on {runtime:?} diverged under tracing"
+                "{kind:?} at {threads} threads diverged under tracing"
             );
             assert_eq!(
                 times(&plain),
                 times(&traced),
-                "{kind:?} on {runtime:?} clock moved under tracing"
+                "{kind:?} at {threads} threads clock moved under tracing"
             );
             assert_eq!(plain.final_evaluation(), traced.final_evaluation());
             assert_eq!(plain.total_time(), traced.total_time());
